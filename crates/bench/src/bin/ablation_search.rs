@@ -1,15 +1,13 @@
 //! Sequential-search ablation: isolates the contribution of each of the
-//! three A\*-cost axes — the edge-legality (adjacency) cache, the
-//! allocation-free trace arena, and the ALT landmark heuristic — on the
-//! dense suite.
+//! two A\*-cost axes — the edge-legality (adjacency) cache and the ALT
+//! landmark heuristic — on the dense suite.
 //!
-//! Rows are cumulative, lossless axes first: `baseline` disables all
-//! three, `+legality` re-enables the adjacency cache, `+arena` adds the
-//! trace arena (both are output-preserving, so their layout hashes must
-//! equal the baseline's — the run asserts it), and `+alt` adds landmark
-//! tables. ALT preserves per-net path *costs* (the heuristic stays
-//! admissible and consistent) but may break equal-cost ties differently,
-//! so its hash is reported rather than asserted.
+//! Rows are cumulative, lossless axis first: `baseline` disables both,
+//! `+legality` re-enables the adjacency cache (output-preserving, so its
+//! layout hash must equal the baseline's — the run asserts it), and
+//! `+alt` adds landmark tables. ALT preserves per-net path *costs* (the
+//! heuristic stays admissible and consistent) but may break equal-cost
+//! ties differently, so its hash is reported rather than asserted.
 //!
 //! Usage: `ablation_search [max_index] [alt_k]` (defaults 2 and 8). The
 //! EXPERIMENTS.md table is generated with `ablation_search 5`; CI runs
@@ -41,9 +39,8 @@ fn main() {
     let max_index: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);
     let alt_k: usize = std::env::args().nth(2).and_then(|s| s.parse().ok()).unwrap_or(8);
     let configs: Vec<(&str, RouterConfig)> = vec![
-        ("baseline", RouterConfig::default().without_legality_cache().without_search_arena()),
-        ("+legality", RouterConfig::default().without_search_arena()),
-        ("+arena", RouterConfig::default()),
+        ("baseline", RouterConfig::default().without_legality_cache()),
+        ("+legality", RouterConfig::default()),
         ("+alt", RouterConfig::default().with_alt_landmarks(alt_k)),
     ];
     println!("Sequential-search ablation (cumulative rows; alt_k = {alt_k})");
@@ -71,9 +68,9 @@ fn main() {
             );
             match *name {
                 "baseline" => baseline_hash = Some(cell.layout_hash),
-                // The legality cache and the trace arena are lossless by
-                // construction; a hash drift here is a bug, not noise.
-                "+legality" | "+arena" => assert_eq!(
+                // The legality cache is lossless by construction; a hash
+                // drift here is a bug, not noise.
+                "+legality" => assert_eq!(
                     Some(cell.layout_hash),
                     baseline_hash,
                     "{name} must be byte-identical to baseline on dense{idx}"

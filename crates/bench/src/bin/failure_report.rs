@@ -9,7 +9,8 @@
 //! one-glance question.
 //!
 //! Usage: `failure_report [index]` (default 2 — the congested circuit).
-//! Set `RDL_THREADS=<n>` to route with the parallel sequential planner.
+//! `RDL_THREADS=<n>` sets the worker count of the router's pure scans
+//! (LP rows, rip-up candidates); the report is the same at every count.
 
 use info_model::svg::{self, Mark};
 use info_router::{InfoRouter, RouterConfig};

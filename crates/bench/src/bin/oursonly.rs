@@ -1,6 +1,7 @@
 //! Quick development check: run only the via-based router on one circuit.
 //! `oursonly [idx] [neg]` — pass `neg` to route in negotiated-congestion
-//! mode; `RDL_THREADS=<n>` sets the sequential worker count.
+//! mode; `RDL_THREADS=<n>` sets the worker count of the router's pure
+//! scans (the layout is the same at every count).
 use std::time::Instant;
 fn main() {
     let idx: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(2);

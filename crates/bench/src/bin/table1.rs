@@ -5,11 +5,10 @@
 //! (indexed `drc::check` vs the reference `drc::check_naive`).
 //!
 //! Usage: `table1 [max_index]` (default 5; pass 3 for a quick run).
-//! Routing is multi-threaded by default (`with_threads_auto`, capped at
-//! 8); set `RDL_THREADS=<n>` to pin the worker count, `RDL_SCALING=0`
-//! to skip the per-circuit thread-scaling matrix (each measured circuit
-//! is otherwise re-routed at 1/2/4/8 threads with the layout hash
-//! asserted identical at every count).
+//! The worker-thread count defaults to the machine's parallelism
+//! (`with_threads_auto`, capped at 8) and is recorded in the JSON; set
+//! `RDL_THREADS=<n>` to pin it. Layouts and search counters do not
+//! depend on it.
 //!
 //! A rewrite preserves what other binaries own: top-level keys spliced
 //! by `loadtest`/`eco_sweep` are carried over byte-for-byte, and circuit
@@ -21,9 +20,9 @@ use info_bench::{geomean, json_piece_key, json_pieces, secs};
 use info_geom::{Point, Polyline};
 use info_model::{drc, DesignRules, Layout, NetId, Package, PackageBuilder, WireLayer};
 use info_router::serve::json;
-use info_router::{InfoRouter, RouteOutcome, RouterConfig};
+use info_router::{InfoRouter, RouterConfig};
 use info_telemetry::{Sink, TelemetryReport};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 struct Row {
     name: String,
@@ -41,8 +40,6 @@ struct Row {
     /// `drc::INDEX_CUTOFF` on every layer, the auto path *is* the naive
     /// scan, and the honest ratio is ~1.0.
     drc_mode: &'static str,
-    /// Thread-scaling matrix of this circuit (empty when skipped).
-    scaling: Vec<ScalePoint>,
     /// Per-stage wall-clock (preprocess, concurrent, sequential, lp).
     stage_s: [f64; 4],
     /// Sequential-stage A\* statistics (see `info_tile::SearchStats`).
@@ -120,41 +117,6 @@ fn drc_stress_instance() -> (Package, Layout) {
         }
     }
     (pkg, layout)
-}
-
-/// One point of a circuit's thread-scaling curve: the same route at a
-/// fixed worker count, with the speculative-planner counters that
-/// explain the wall-clock (commit/conflict ratio, steal traffic, and
-/// how the adaptive batch controller moved).
-struct ScalePoint {
-    threads: usize,
-    runtime_s: f64,
-    sequential_s: f64,
-    layout_hash: u64,
-    commits: u64,
-    conflicts: u64,
-    steals: u64,
-    grows: u64,
-    shrinks: u64,
-}
-
-impl ScalePoint {
-    fn from_route(threads: usize, wall: Duration, out: &RouteOutcome) -> Self {
-        let counter = |label: &str| {
-            out.telemetry.as_ref().map_or(0, |r| r.counter(label))
-        };
-        ScalePoint {
-            threads,
-            runtime_s: wall.as_secs_f64(),
-            sequential_s: out.timings.sequential.as_secs_f64(),
-            layout_hash: out.layout.canonical_hash(),
-            commits: counter("speculative_commits"),
-            conflicts: counter("speculative_conflicts"),
-            steals: counter("pool_steals"),
-            grows: counter("speculative_batch_grows"),
-            shrinks: counter("speculative_batch_shrinks"),
-        }
-    }
 }
 
 /// Paired, order-alternating best-of-five timing of the auto (indexed)
@@ -327,31 +289,6 @@ fn carried_sections(old: &str) -> (Vec<String>, Vec<(String, String)>) {
     (preserved, circuits)
 }
 
-/// One line of thread-scaling points (`[]` when the matrix was skipped).
-fn scaling_json(points: &[ScalePoint]) -> String {
-    let items: Vec<String> = points
-        .iter()
-        .map(|p| {
-            format!(
-                "{{\"threads\": {}, \"runtime_s\": {:.4}, \"sequential_s\": {:.4}, \
-                 \"layout_hash\": \"{:016x}\", \"speculative_commits\": {}, \
-                 \"speculative_conflicts\": {}, \"pool_steals\": {}, \
-                 \"batch_grows\": {}, \"batch_shrinks\": {}}}",
-                p.threads,
-                p.runtime_s,
-                p.sequential_s,
-                p.layout_hash,
-                p.commits,
-                p.conflicts,
-                p.steals,
-                p.grows,
-                p.shrinks,
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(", "))
-}
-
 /// One circuit block (no leading indent, no trailing comma).
 fn circuit_json(r: &Row) -> String {
     format!(
@@ -365,7 +302,6 @@ fn circuit_json(r: &Row) -> String {
          \"window_escalations\": {}, \"escalation_expansions\": {}, \"heap_peak\": {}, \
          \"heuristic_tightenings\": {}}}, \
          \"ripup_wall_s\": {:.4}, \
-         \"thread_scaling\": {}, \
          \"negotiated\": {{\"routability_pct\": {:.3}, \"wirelength_um\": {:.1}, \
          \"runtime_s\": {:.4}, \"sequential_s\": {:.4}, \"layout_hash\": \"{:016x}\", \
          \"iterations\": {}, \"converged\": {}, \"declined\": {}, \
@@ -395,7 +331,6 @@ fn circuit_json(r: &Row) -> String {
         r.search.heap_peak,
         r.search.heuristic_tightenings,
         r.report.counter("ripup_wall_us") as f64 / 1e6,
-        scaling_json(&r.scaling),
         r.neg.routability_pct,
         r.neg.wirelength_um,
         r.neg.runtime_s,
@@ -482,13 +417,10 @@ fn write_bench_json(rows: &[Row], stress: &Stress, threads: usize, overhead: Opt
 
 fn main() {
     let max_index: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(5);
-    // Multi-threaded by default: the parallel planner is the production
-    // configuration now, so the published numbers are measured with it.
     let threads: usize = std::env::var("RDL_THREADS")
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or_else(|| RouterConfig::default().with_threads_auto().threads);
-    let scaling_on = std::env::var("RDL_SCALING").map_or(true, |v| v != "0");
     println!("Table I — Lin-ext vs Ours (synthetic dense suite; see DESIGN.md substitutions)");
     println!(
         "{:<8} {:>6} {:>5} {:>5} {:>5} {:>4} {:>4} | {:>9} {:>9} | {:>12} {:>12} | {:>8} {:>8}",
@@ -504,11 +436,7 @@ fn main() {
     // `threads` as the router config actually clamps/records it, so the
     // JSON "threads" field is the configured value, not the raw env var.
     let configured_threads = RouterConfig::default().with_threads(threads).threads;
-    println!(
-        "routing with {configured_threads} worker thread(s) \
-         (RDL_THREADS overrides; scaling matrix {})",
-        if scaling_on { "on" } else { "off (RDL_SCALING=0)" }
-    );
+    println!("routing with {configured_threads} worker thread(s) (RDL_THREADS overrides)");
     for idx in 1..=max_index {
         let pkg = info_gen::dense(idx);
 
@@ -643,47 +571,6 @@ fn main() {
             ratios_time.push(base_time.as_secs_f64() / ours_time.as_secs_f64());
         }
 
-        // Thread-scaling matrix: the same circuit at 1/2/4/8 workers.
-        // The configured-thread point reuses the measured run above;
-        // every other point routes fresh. Identical layout hashes at
-        // every count are the parallel planner's core contract — a
-        // divergence here is a bug, not a data point, so it aborts.
-        let mut scaling = Vec::new();
-        if scaling_on {
-            for t in [1usize, 2, 4, 8] {
-                let point = if t == configured_threads {
-                    ScalePoint::from_route(t, ours_time, &ours)
-                } else {
-                    let cfg_t = RouterConfig::default().with_threads(t).with_telemetry();
-                    let ts = Instant::now();
-                    let out = InfoRouter::new(cfg_t).route(&pkg);
-                    ScalePoint::from_route(t, ts.elapsed(), &out)
-                };
-                assert_eq!(
-                    point.layout_hash,
-                    ours.layout.canonical_hash(),
-                    "dense{idx}: layout diverged at {t} threads"
-                );
-                scaling.push(point);
-            }
-            let one = scaling[0].sequential_s;
-            let curve: Vec<String> = scaling
-                .iter()
-                .map(|p| {
-                    format!(
-                        "{}t {:.2}s ({:.2}x, {}c/{}x/{}s)",
-                        p.threads,
-                        p.sequential_s,
-                        one / p.sequential_s.max(1e-9),
-                        p.commits,
-                        p.conflicts,
-                        p.steals,
-                    )
-                })
-                .collect();
-            println!("  thread scaling (sequential stage): {}", curve.join(", "));
-        }
-
         let (drc_indexed_s, drc_naive_s) = time_drc_pair(&pkg, &ours.layout);
         rows.push(Row {
             name: format!("dense{idx}"),
@@ -695,7 +582,6 @@ fn main() {
             drc_indexed_s,
             drc_naive_s,
             drc_mode: drc_mode(&pkg, &ours.layout),
-            scaling,
             stage_s: [
                 ours.timings.preprocess.as_secs_f64(),
                 ours.timings.concurrent.as_secs_f64(),

@@ -36,15 +36,12 @@ pub struct RouterConfig {
     pub peripheral_margin: Coord,
     /// Extra cost per via in A\*, as a multiple of the via width.
     pub via_cost_factor: f64,
-    /// Worker threads for the sequential stage's speculative net planner.
-    /// `1` (the default) routes on the caller's thread; any value produces
-    /// bit-identical layouts (plans are applied in net order, and a plan
-    /// whose read set was invalidated by an earlier commit is recomputed),
-    /// so this trades CPU for wall-clock only. Forced to 1 while a fault
-    /// plan is armed at any site other than `pool.worker`, because
-    /// injected-fault trigger counts are order-sensitive (`pool.worker`
-    /// faults only kill speculative plans, which are recomputed
-    /// authoritatively, so they keep the configured count).
+    /// Worker threads for the work that is independent by construction:
+    /// LP constraint rows, the rip-up candidate scan, the negotiated
+    /// front's feature and victim scans, and ALT landmark tables. Every
+    /// net is searched and committed on the caller's thread, one at a
+    /// time, so layouts, the route journal and the search counters are
+    /// identical at every value. `1` (the default) spawns no threads.
     pub threads: usize,
     /// Windowed A\*: each sequential-stage search first explores an
     /// inflated bounding box of its pad pair and escalates to the full
@@ -80,10 +77,6 @@ pub struct RouterConfig {
     /// the clearance/crossing geometry on every enumeration (the ablation
     /// baseline).
     pub legality_cache: bool,
-    /// Collect traced read cells in the generation-stamped scratch arena
-    /// instead of a per-search `BTreeSet`. Identical output either way;
-    /// `false` is the ablation baseline.
-    pub search_arena: bool,
     /// Negotiated-congestion sequential routing (DESIGN.md §4h): replace
     /// the two fixed shortest-first passes with a feature-ordered
     /// convergence loop — every net routes under history + present
@@ -122,7 +115,6 @@ impl Default for RouterConfig {
             telemetry: false,
             alt_landmarks: 0,
             legality_cache: true,
-            search_arena: true,
             congestion_mode: false,
             retry_expansion_budget: None,
         }
@@ -159,17 +151,16 @@ impl RouterConfig {
         self
     }
 
-    /// Sets the sequential-stage worker-thread count (0 is treated as 1).
+    /// Sets the worker-thread count (0 is treated as 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
         self
     }
 
     /// Sets the worker-thread count from the machine's available
-    /// parallelism, capped at 8 (the published thread-scaling matrix
-    /// tops out there, and dispatch overhead eats the returns beyond
-    /// it on these circuit sizes). The bench binaries and CI use this;
-    /// the library default stays single-threaded.
+    /// parallelism, capped at 8 (spawn overhead eats the returns beyond
+    /// it on these circuit sizes). The bench binaries use this; the
+    /// library default stays single-threaded.
     pub fn with_threads_auto(self) -> Self {
         let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
         self.with_threads(cores.min(8))
@@ -213,13 +204,6 @@ impl RouterConfig {
         self
     }
 
-    /// Collects traced read cells in a per-search `BTreeSet` instead of
-    /// the scratch arena (ablation).
-    pub fn without_search_arena(mut self) -> Self {
-        self.search_arena = false;
-        self
-    }
-
     /// Enables negotiated-congestion sequential routing (see
     /// [`RouterConfig::congestion_mode`]).
     pub fn with_congestion_mode(mut self) -> Self {
@@ -248,10 +232,8 @@ mod tests {
         assert!(c.with_telemetry().telemetry);
         assert_eq!(c.alt_landmarks, 0, "ALT landmarks are off by default");
         assert!(c.legality_cache, "legality cache is on by default");
-        assert!(c.search_arena, "trace arena is on by default");
         assert_eq!(c.with_alt_landmarks(8).alt_landmarks, 8);
         assert!(!c.without_legality_cache().legality_cache);
-        assert!(!c.without_search_arena().search_arena);
         assert!(!c.congestion_mode, "negotiated congestion is off by default");
         assert!(c.with_congestion_mode().congestion_mode);
     }

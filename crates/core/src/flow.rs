@@ -41,9 +41,8 @@ pub struct StageTimings {
     /// Stage 5: LP-based layout optimization (all passes).
     pub lp: Duration,
     /// Aggregate A\* search statistics of the sequential stage (nodes
-    /// expanded, window escalations, open-list peak). Totals include
-    /// discarded speculative plans, so they can vary with `threads`;
-    /// the routed layout never does.
+    /// expanded, window escalations, open-list peak). Every search runs
+    /// on the committing thread, so the totals are thread-invariant.
     pub search: info_tile::SearchStats,
 }
 
@@ -321,9 +320,7 @@ impl InfoRouter {
         diagnostics.faults_fired = ctx.faults_fired();
         diagnostics.timings = timings;
 
-        // Search-layer counters come from the authoritative stage totals
-        // (they are thread-variant, like SearchStats itself; the journal
-        // above is not).
+        // Search-layer counters come from the sequential stage's totals.
         tel.count(Counter::Searches, seq.search.searches);
         tel.count(Counter::NodesExpanded, seq.search.nodes_expanded);
         tel.count(Counter::WindowEscalations, seq.search.window_escalations);

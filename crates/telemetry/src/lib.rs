@@ -8,12 +8,11 @@
 //! nothing — layouts are byte-identical either way because no recorded
 //! value ever feeds back into routing decisions.
 //!
-//! Determinism contract: the **journal** is emitted only at authoritative
-//! commit points of the sequential flow (plans are committed in net
-//! order), so its contents are identical at every thread count.
-//! **Counters** and **histograms** absorb discarded speculative work too,
-//! so their totals may vary with `threads` — but they are monotonic:
-//! nothing ever decrements them, not even a rip-up snapshot restore.
+//! Determinism contract: every net is searched and committed on one
+//! thread, in a fixed order, so the **journal**, the **counters** and the
+//! **histograms** are identical at every thread count. Counters are also
+//! monotonic: nothing ever decrements them, not even a rip-up snapshot
+//! restore.
 //! **Spans** are wall-clock measurements and inherently run-variant.
 //!
 //! This crate deliberately has zero dependencies (net ids are plain
@@ -160,7 +159,7 @@ pub struct AttemptRecord {
 /// `label` must stay in sync.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Counter {
-    /// A\* entry points taken (includes discarded speculative plans).
+    /// A\* entry points taken.
     Searches,
     /// Nodes expanded across all searches.
     NodesExpanded,
@@ -214,24 +213,11 @@ pub enum Counter {
     /// Nets re-queued by the negotiation driver — evicted victims plus
     /// still-failed nets — summed over every iteration after the first.
     NegotiationReroutes,
-    /// Speculative plans applied fresh (read-cell set disjoint from the
-    /// batch's earlier commits; the parallel work paid off).
-    SpeculativeCommits,
-    /// Speculative plans discarded stale and recomputed sequentially
-    /// (read-cell conflict, worker error, or interrupt replay).
-    SpeculativeConflicts,
-    /// Adaptive batch-controller growth steps (conflict rate low).
-    SpeculativeBatchGrows,
-    /// Adaptive batch-controller shrink steps (conflict rate high).
-    SpeculativeBatchShrinks,
-    /// Work-stealing pool steals (a starved worker took the back half of
-    /// another worker's remaining range).
-    PoolSteals,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 24] = [
         Counter::Searches,
         Counter::NodesExpanded,
         Counter::WindowEscalations,
@@ -256,11 +242,6 @@ impl Counter {
         Counter::NegotiationIterations,
         Counter::NegotiationOveruse,
         Counter::NegotiationReroutes,
-        Counter::SpeculativeCommits,
-        Counter::SpeculativeConflicts,
-        Counter::SpeculativeBatchGrows,
-        Counter::SpeculativeBatchShrinks,
-        Counter::PoolSteals,
     ];
 
     /// Stable snake_case label.
@@ -290,11 +271,6 @@ impl Counter {
             Counter::NegotiationIterations => "negotiation_iterations",
             Counter::NegotiationOveruse => "negotiation_overuse",
             Counter::NegotiationReroutes => "negotiation_reroutes",
-            Counter::SpeculativeCommits => "speculative_commits",
-            Counter::SpeculativeConflicts => "speculative_conflicts",
-            Counter::SpeculativeBatchGrows => "speculative_batch_grows",
-            Counter::SpeculativeBatchShrinks => "speculative_batch_shrinks",
-            Counter::PoolSteals => "pool_steals",
         }
     }
 }

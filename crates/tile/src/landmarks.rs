@@ -203,7 +203,7 @@ impl Landmarks {
         // --- Per-landmark Dijkstra over the optimistic graph. Each
         // landmark fills its own disjoint `dist` slice, so the slices are
         // dealt out to scoped worker threads round-robin (this crate sits
-        // below the router's work-stealing pool in the dependency graph,
+        // below the router's worker pool in the dependency graph,
         // and k is small enough that static striping balances fine).
         let mut dist = vec![f64::INFINITY; k * n];
         let workers = threads.max(1).min(k.max(1));

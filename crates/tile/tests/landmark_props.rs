@@ -204,16 +204,16 @@ fn forced_via_detour_tightens_heuristic() {
     let (src, dst) = terminals(&pkg);
 
     let mut stats = astar::SearchStats::default();
-    let (plain, _) = astar::route_traced_opts(
-        &space, NetId(0), src, dst, SearchOptions::default(), &mut stats,
-    );
+    let plain = astar::route_opts(
+        &space, NetId(0), src, dst, SearchOptions::default(), None, &mut stats,
+    ).ok();
     assert_eq!(stats.heuristic_tightenings, 0, "no tables, no tightenings");
 
     space.set_landmarks(Some(Arc::new(Landmarks::build(&space, 4))));
     let mut alt_stats = astar::SearchStats::default();
-    let (alt, _) = astar::route_traced_opts(
-        &space, NetId(0), src, dst, SearchOptions::default(), &mut alt_stats,
-    );
+    let alt = astar::route_opts(
+        &space, NetId(0), src, dst, SearchOptions::default(), None, &mut alt_stats,
+    ).ok();
 
     let (plain, alt) = (plain.expect("plain route"), alt.expect("alt route"));
     assert!(

@@ -69,27 +69,6 @@ fn windowed_search_matches_full_graph_on_golden_circuits() {
     }
 }
 
-/// The allocation-free trace arena is a drop-in replacement for the
-/// `BTreeSet` trace sink: routing every golden circuit with the arena
-/// disabled must reproduce the default layouts bit for bit.
-#[test]
-fn trace_arena_is_lossless_on_golden_circuits() {
-    for (name, pkg) in circuits() {
-        let arena = route(&pkg, RouterConfig::default());
-        let tree = route(&pkg, RouterConfig::default().without_search_arena());
-        assert_eq!(
-            arena.layout.canonical_hash(),
-            tree.layout.canonical_hash(),
-            "{name}: arena trace sink changed the layout"
-        );
-        assert_eq!(arena.failed, tree.failed, "{name}: routability differs");
-        assert_eq!(
-            arena.timings.search.nodes_expanded, tree.timings.search.nodes_expanded,
-            "{name}: the sink must not influence the search itself"
-        );
-    }
-}
-
 /// ALT landmark tables strengthen the heuristic but never change a path
 /// cost (admissible + consistent); on the golden circuits they do not
 /// even change a tie-break, so the layouts must stay bit-identical to

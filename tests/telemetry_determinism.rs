@@ -2,10 +2,11 @@
 //!
 //! Locks down the three contracts the telemetry subsystem makes:
 //!
-//! 1. The per-net route journal is part of the deterministic output:
-//!    threads=1 and threads=4 produce identical journals on every golden
-//!    circuit, because records are emitted only at authoritative commit
-//!    points (discarded speculative plans never journal).
+//! 1. The per-net route journal and the search counters are part of the
+//!    deterministic output: threads=1 and threads=4 produce identical
+//!    journals and identical `searches` / `nodes_expanded` totals on
+//!    every golden circuit, because every net is searched and committed
+//!    on one thread; worker threads only run pure scans.
 //! 2. Telemetry is observation-only: the routed layout is byte-identical
 //!    (canonical hash) with telemetry on and off.
 //! 3. Counters are monotonic: a rip-up trial that fails and restores the
@@ -46,9 +47,9 @@ fn route_with_telemetry(pkg: &Package, threads: usize, cells: usize) -> Telemetr
     InfoRouter::new(cfg).route(pkg).telemetry.expect("telemetry enabled")
 }
 
-/// Journal records are emitted only at authoritative commit points, so the
-/// journal — order, contents, victims, outcomes — must be identical no
-/// matter how many speculative worker threads raced to produce the plans.
+/// Every net is searched and committed on one thread, so the journal —
+/// order, contents, victims, outcomes — and the search totals must be
+/// identical no matter how many worker threads the pure scans use.
 #[test]
 fn journal_identical_across_thread_counts() {
     let mut circuits = golden_circuits();
@@ -64,6 +65,13 @@ fn journal_identical_across_thread_counts() {
             seq.journal, par.journal,
             "{name}: route journal differs between threads=1 and threads=4"
         );
+        for counter in ["searches", "nodes_expanded"] {
+            assert_eq!(
+                seq.counter(counter),
+                par.counter(counter),
+                "{name}: {counter} differs between threads=1 and threads=4"
+            );
+        }
         if name == "g3_congested" {
             assert!(
                 seq.counter("ripup_attempts") > 0,
